@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cwnsim/internal/sim"
 )
@@ -41,7 +42,16 @@ type chanState struct {
 	// counts the members the owning shard holds — a broadcast with
 	// localMembers < 2 has no local receivers.
 	crossTo      []int
-	localMembers int
+	localMembers int32
+
+	// id is the global channel ID (the index into Stats.ChannelBusy);
+	// a cross-shard message rebinds to the receiving shard's copy by it.
+	id int32
+	// portOff locates this channel's block of the machine's reverse-port
+	// table (Machine.ports): k(k-1) entries for its k members, row i
+	// for the sender at member position i (see port). With it the struct
+	// is 128 bytes, two whole cache lines.
+	portOff int32
 }
 
 // chanAt resolves a global channel ID against either layout: dense
@@ -123,36 +133,37 @@ const (
 	wireResp
 	// wireCtrl is a point-to-point strategy control payload.
 	wireCtrl
-	// wireLoadBcast is a load broadcast transaction on one channel.
+	// wireLoadBcast is a load broadcast: one transmission, or the group
+	// of one broadcast's transmissions that end together (see
+	// Machine.broadcast).
 	wireLoadBcast
-	// wireCtrlBcast is a control broadcast transaction on one channel.
+	// wireCtrlBcast is a control broadcast, grouped the same way.
 	wireCtrlBcast
 	// wireEnvBcast is a failed/recovered PE's immediate load broadcast
-	// carrying the availability notification: receivers record the load
-	// word as usual and FailureAware nodes additionally get the
-	// PEFailed/PERecovered event. Counted and charged exactly like the
-	// load word it replaces, so sentinel-only strategies see bit-for-bit
-	// the PR 3 behaviour.
+	// carrying the availability notification (payload: the EventKind,
+	// PEFailed or PERecovered): receivers record the load word as usual
+	// and FailureAware nodes additionally get the event. Counted and
+	// charged exactly like the load word it replaces, so sentinel-only
+	// strategies see bit-for-bit the PR 3 behaviour.
 	wireEnvBcast
 )
-
-// envNote is the payload of a wireEnvBcast: which availability event,
-// about which PE.
-type envNote struct {
-	kind EventKind
-	pe   int
-}
 
 // wireMsg is one message occupying a channel: the typed, pooled
 // replacement for the per-hop closures the hot path used to allocate.
 // It implements sim.Action; delivery dispatches on kind. Messages are
 // recycled through the machine's free list the moment they deliver.
 //
+// A broadcast message is either a single transmission on ch (a copy
+// handed to another shard, or one held at a downed channel) or a group:
+// slots marks the sender's attached channels chansOf[slot0+s] whose
+// transmissions all end at this message's instant and deliver on this
+// shard, so one engine event delivers them all, in channel order.
+//
 //simlint:pooled
 type wireMsg struct {
 	m        *Machine //simlint:keep rebound on every newMsg pop; pooled lists may cross runs (Pool), where the old machine is dead but unreachable state, not an aliasing hazard
 	kind     wireKind
-	ch       *chanState // broadcast kinds: deliver to all other members
+	ch       *chanState // the occupied channel; nil for a broadcast group
 	goal     *Goal
 	resp     response
 	payload  any
@@ -160,6 +171,8 @@ type wireMsg struct {
 	to       int // receiving PE of this hop
 	dst      int // final destination (wireGoalRoute)
 	sentLoad int32
+	slot0    int32  // broadcast group: the chansOf index of bit 0 of slots
+	slots    uint64 // broadcast group: bit s = chansOf[slot0+s]; 0 otherwise
 }
 
 // newMsg pops a message from the free list (or allocates the pool's
@@ -181,6 +194,7 @@ func (m *Machine) newMsg(kind wireKind, from int, sentLoad int) *wireMsg {
 	w.kind = kind
 	w.from = from
 	w.sentLoad = int32(sentLoad)
+	w.slots = 0
 	return w
 }
 
@@ -202,15 +216,14 @@ func (w *wireMsg) Act() {
 	m, kind, ch := w.m, w.kind, w.ch
 	g, resp, payload := w.goal, w.resp, w.payload
 	from, to, dst, sentLoad := w.from, w.to, w.dst, int(w.sentLoad)
+	slot0, slots := int(w.slot0), w.slots
 	m.freeMsg(w)
 
 	switch kind {
 	case wireGoal:
 		m.goalsInTransit--
 		rcv := m.pes[to]
-		if m.cfg.PiggybackLoad {
-			rcv.noteLoad(from, sentLoad)
-		}
+		m.piggyback(ch, from, to, sentLoad)
 		if m.lossy && g.epoch != g.job.epoch {
 			m.stats.GoalsLost++ // its attempt died in a crash mid-flight
 			m.freeGoal(g)
@@ -223,9 +236,7 @@ func (w *wireMsg) Act() {
 		rcv.node.HandleEvent(Event{Kind: GoalArrived, Goal: g, From: from})
 	case wireGoalRoute:
 		m.goalsInTransit--
-		if m.cfg.PiggybackLoad {
-			m.pes[to].noteLoad(from, sentLoad)
-		}
+		m.piggyback(ch, from, to, sentLoad)
 		if m.lossy && g.epoch != g.job.epoch {
 			m.stats.GoalsLost++
 			m.freeGoal(g)
@@ -242,31 +253,49 @@ func (w *wireMsg) Act() {
 		m.routeGoal(to, dst, g)
 	case wireResp:
 		m.respsInTransit--
-		if m.cfg.PiggybackLoad {
-			m.pes[to].noteLoad(from, sentLoad)
-		}
+		m.piggyback(ch, from, to, sentLoad)
 		m.routeResponse(to, resp)
 	case wireCtrl:
-		rcv := m.pes[to]
-		if m.cfg.PiggybackLoad {
-			rcv.noteLoad(from, sentLoad)
+		m.piggyback(ch, from, to, sentLoad)
+		m.pes[to].node.HandleEvent(Event{Kind: Control, From: from, Payload: payload})
+	default: // wireLoadBcast, wireCtrlBcast, wireEnvBcast
+		if slots == 0 {
+			m.deliverBcast(ch, kind, from, sentLoad, payload)
+			return
 		}
-		rcv.node.HandleEvent(Event{Kind: Control, From: from, Payload: payload})
-	// Broadcast deliveries walk the channel's full member list; on a
-	// sharded machine only this shard's members exist in m.pes (the
-	// cross-shard clone delivers to each remote shard's members there),
-	// so the nil check doubles as the ownership filter.
-	case wireLoadBcast:
-		for _, member := range ch.members {
-			if member == from {
-				continue
-			}
-			if rcv := m.pes[member]; rcv != nil {
-				rcv.noteLoad(from, sentLoad)
+		// A group stands for one engine event per transmission: walk
+		// them in channel order, stop where the engine stops (exactly
+		// where the per-transmission events would have stopped firing),
+		// and credit the engine with the transmissions delivered.
+		chans := m.pes[from].chansOf[slot0:]
+		n := uint64(0)
+		for slots != 0 {
+			s := bits.TrailingZeros64(slots)
+			slots &= slots - 1
+			m.deliverBcast(m.chanAt(chans[s]), kind, from, sentLoad, payload)
+			n++
+			if m.eng.Stopped() {
+				break
 			}
 		}
-	case wireCtrlBcast:
-		for _, member := range ch.members {
+		m.eng.Credit(n - 1)
+	}
+}
+
+// deliverBcast delivers one broadcast transmission on ch to every
+// member this shard owns. Load words (plain and env) write straight
+// through the channel's reverse-port row for the sender — no neighbor
+// search per receiver; a -1 entry (remote or non-neighbor receiver) is
+// skipped. Broadcast deliveries must be idempotent, because a
+// double-lattice pair hears each transaction twice (once per shared
+// bus).
+func (m *Machine) deliverBcast(ch *chanState, kind wireKind, from, load int, payload any) {
+	members := ch.members
+	if kind == wireCtrlBcast {
+		// On a sharded machine only this shard's members exist in m.pes
+		// (the cross-shard copy delivers to each remote shard's members
+		// there), so the nil check is the ownership filter.
+		for _, member := range members {
 			if member == from {
 				continue
 			}
@@ -274,33 +303,81 @@ func (w *wireMsg) Act() {
 				rcv.node.HandleEvent(Event{Kind: Control, From: from, Payload: payload})
 			}
 		}
-	case wireEnvBcast:
-		note := payload.(envNote)
-		for _, member := range ch.members {
-			if member == from {
-				continue
-			}
-			rcv := m.pes[member]
-			if rcv == nil {
-				continue
-			}
-			rcv.noteLoad(from, sentLoad)
-			// Broadcast deliveries must be idempotent (a double-lattice
-			// pair hears each transaction twice, once per shared bus):
-			// only availability TRANSITIONS raise the event, so a
-			// failure-aware node reacts exactly once per failure.
-			i := rcv.nbrIdx(note.pe)
-			if i < 0 {
-				continue
-			}
-			downNow := note.kind == PEFailed
-			if rcv.nbrDown[i] == downNow {
-				continue // the second bus's copy of the same transition
-			}
-			rcv.nbrDown[i] = downNow
-			if rcv.wantsFailure {
-				rcv.node.HandleEvent(Event{Kind: note.kind, From: note.pe})
-			}
+		return
+	}
+	env, _ := payload.(EventKind)
+	i := 0
+	for members[i] != from {
+		i++
+	}
+	k := len(members) - 1
+	off := int(ch.portOff) + i*k
+	for r, port := range m.ports[off : off+k] {
+		if port < 0 {
+			continue
+		}
+		member := members[r]
+		if r >= i {
+			member = members[r+1]
+		}
+		m.noteLoad(member, port, from, load)
+		if kind != wireEnvBcast {
+			continue
+		}
+		// Only availability TRANSITIONS raise the event, so a
+		// failure-aware node reacts exactly once per failure even when
+		// it hears the word on two buses.
+		downNow := env == PEFailed
+		if m.nbrDown[port] == downNow {
+			continue
+		}
+		m.nbrDown[port] = downNow
+		if rcv := m.pes[member]; rcv.wantsFailure {
+			rcv.node.HandleEvent(Event{Kind: env, From: from})
+		}
+	}
+}
+
+// port returns the reverse-port entry for a word from PE from to PE to
+// over ch: the receiver's flat neighbor-table index, or -1 when this
+// shard does not own the receiver or the receiver does not count the
+// sender as a neighbor. Both PEs must be members of ch.
+func (m *Machine) port(ch *chanState, from, to int) int32 {
+	i, j := 0, 0
+	for x, p := range ch.members {
+		switch p {
+		case from:
+			i = x
+		case to:
+			j = x
+		}
+	}
+	if j > i {
+		j--
+	}
+	return m.ports[int(ch.portOff)+i*(len(ch.members)-1)+j]
+}
+
+// piggyback records the load word a point-to-point hop over ch carries
+// from PE from to PE to, when piggybacking is configured.
+func (m *Machine) piggyback(ch *chanState, from, to, load int) {
+	if m.cfg.PiggybackLoad {
+		m.noteLoad(to, m.port(ch, from, to), from, load)
+	}
+}
+
+// noteLoad records load word load from PE from at reverse port port of
+// receiving PE rcv (no-op for port -1), raising NeighborLoadChanged
+// when the receiver's node is LoadAware.
+func (m *Machine) noteLoad(rcv int, port int32, from, load int) {
+	if port < 0 {
+		return
+	}
+	m.nbrLoad[port] = int32(load)
+	m.nbrSeen[port] = m.eng.Now()
+	if m.loadAware {
+		if pe := m.pes[rcv]; pe.wantsLoad {
+			pe.node.HandleEvent(Event{Kind: NeighborLoadChanged, From: from, Load: load})
 		}
 	}
 }
@@ -310,6 +387,7 @@ func (w *wireMsg) Act() {
 // holds at the sender instead, transmitting (in arrival order) when the
 // link is restored.
 func (m *Machine) transmit(ch *chanState, dur sim.Time, w *wireMsg) {
+	w.ch = ch
 	if ch.down {
 		ch.held = append(ch.held, heldMsg{w: w, dur: dur})
 		return
@@ -324,10 +402,9 @@ func (m *Machine) transmit(ch *chanState, dur sim.Time, w *wireMsg) {
 // crossShard hands w off to the shard(s) owning its receiver(s),
 // reporting whether the message was fully handed off (nothing left to
 // deliver locally). Point-to-point kinds route by the receiving PE's
-// owner; broadcast kinds clone one message per remote member shard (the
-// clone re-delivers on the receiver's copy of the channel, where the
-// nil-guarded member walk acts as the ownership filter) and keep the
-// original only if this shard holds another member to hear it.
+// owner; broadcast kinds copy the message to every remote member shard
+// and keep the original only if this shard holds another member to
+// hear it.
 func (m *Machine) crossShard(ch *chanState, end sim.Time, w *wireMsg) bool {
 	switch w.kind {
 	case wireGoal, wireGoalRoute, wireResp, wireCtrl:
@@ -341,17 +418,26 @@ func (m *Machine) crossShard(ch *chanState, end sim.Time, w *wireMsg) bool {
 		if ch.crossTo == nil {
 			return false
 		}
-		for _, d := range ch.crossTo {
-			c := m.newMsg(w.kind, w.from, int(w.sentLoad))
-			c.ch = ch
-			c.payload = w.payload
-			m.handOff(d, end, c)
-		}
+		m.handOffBcast(ch, end, w.kind, w.from, int(w.sentLoad), w.payload)
 		if ch.localMembers >= 2 {
 			return false
 		}
 		m.freeMsg(w)
 		return true
+	}
+}
+
+// handOffBcast hands one broadcast transmission on ch to every other
+// shard owning a member of it, one copy per shard. The coordinator
+// rebinds each copy to the receiving shard's own copy of the channel
+// (shardGroup.drain), whose reverse-port entries cover that shard's
+// members.
+func (m *Machine) handOffBcast(ch *chanState, end sim.Time, kind wireKind, from, load int, payload any) {
+	for _, d := range ch.crossTo {
+		c := m.newMsg(kind, from, load)
+		c.ch = ch
+		c.payload = payload
+		m.handOff(d, end, c)
 	}
 }
 

@@ -125,6 +125,30 @@
 // analyzer (internal/analysis, run by CI as cmd/simlint) enforces both
 // rules at vet time.
 //
+// The load-word path does no neighbor search. At construction the
+// machine builds a reverse-port table: for every stored channel and
+// every ordered (sender, receiver) pair of its members, the receiver's
+// flat index into the per-neighbor load views, or -1 when another
+// shard owns the receiver or the receiver does not count the sender as
+// a neighbor. Every load word — the periodic broadcast, the
+// availability (env) broadcast and the load piggybacked on goal,
+// response and control hops — is recorded through that table.
+// PE.nbrIdx, a binary search of the sorted neighbor row, remains only
+// behind the public KnownLoad and the table build.
+//
+// A broadcast occupies every attached channel exactly as separate
+// transmissions would, but the transmissions that end at the same
+// instant and deliver on this shard share one pooled wire message and
+// so one engine event, which walks them in channel order. A
+// transmission held at a downed channel, and each copy handed to
+// another shard, is a message of its own. The grouping keeps the event
+// order: one broadcast's events take consecutive engine sequence
+// numbers, so deliveries at one instant are adjacent in (time,
+// sequence) order and nothing can run between them. A grouped event
+// credits the engine with one processed event per channel it delivered
+// (sim.Engine.Credit), and stops where the engine stops, so
+// Stats.Events, message counts and channel busy time are unchanged.
+//
 // # Memory layout
 //
 // The layout is built for million-PE machines (the ledger's
@@ -147,8 +171,10 @@
 // (CSR form), so per-PE adjacency costs array bytes, not slice-header
 // garbage and pointer-chased little arrays. Channel states are a value
 // slice (chans []chanState) that never grows, so interior *chanState
-// pointers stay valid for the life of the run. Neighbor lookups binary
-// search the sorted neighbor list — no per-PE map.
+// pointers stay valid for the life of the run. Message delivery finds
+// the receiver's neighbor slot through the reverse-port table (see Hot
+// path); the one remaining lookup, KnownLoad, binary searches the
+// sorted neighbor list — no per-PE map.
 //
 // Arena chunks. Free-list misses for goals, wire messages, pending
 // tasks, job states (machine.go) and events (internal/sim) carve from

@@ -504,7 +504,7 @@ func (m *Machine) recoverPE(pe *PE) {
 // counted and charged exactly like the plain load broadcast it
 // replaces.
 func (m *Machine) broadcastEnv(pe *PE, kind EventKind) {
-	m.broadcast(pe, wireEnvBcast, MsgLoad, m.cfg.CtrlHopTime, envNote{kind: kind, pe: pe.id})
+	m.broadcast(pe, wireEnvBcast, MsgLoad, m.cfg.CtrlHopTime, kind)
 }
 
 // requeueGoal evacuates a goal arriving at failed PE `from` to the

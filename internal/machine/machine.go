@@ -58,6 +58,21 @@ type Machine struct {
 	chanIdx []int32
 	chanIDs []int32
 
+	// nbrLoad/nbrSeen/nbrDown are the flat backings of every owned PE's
+	// per-neighbor views (PE.nbrLoad and nbrSeen are subslices), indexed
+	// by the reverse-port entries. ports is the reverse-port table: for
+	// each stored channel with k members, k(k-1) entries (row i for the
+	// sender at member position i, the other members in member order)
+	// giving the receiver's flat index here, or -1 when the receiver is
+	// owned by another shard or does not count the sender as a
+	// neighbor. Load-word delivery writes through it with no neighbor
+	// search. loadAware is set when any node wants NeighborLoadChanged.
+	nbrLoad   []int32
+	nbrSeen   []sim.Time
+	nbrDown   []bool
+	ports     []int32
+	loadAware bool
+
 	// chScratch is the reusable candidate buffer for per-hop channel
 	// selection (AppendChannelsBetween): implicit topologies compute the
 	// list into it, materialized ones copy their cached pair list — either
@@ -333,12 +348,12 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		chansFlat = topo.AppendChannelsOf(chansFlat, i)
 		chOff[i-m.peLo+1] = len(chansFlat)
 	}
-	nbrLoadFlat := make([]int32, len(nbrsFlat))
-	nbrSeenFlat := make([]sim.Time, len(nbrsFlat))
-	for i := range nbrSeenFlat {
-		nbrSeenFlat[i] = -1
+	m.nbrLoad = make([]int32, len(nbrsFlat))
+	m.nbrSeen = make([]sim.Time, len(nbrsFlat))
+	for i := range m.nbrSeen {
+		m.nbrSeen[i] = -1
 	}
-	nbrDownFlat := make([]bool, len(nbrsFlat))
+	m.nbrDown = make([]bool, len(nbrsFlat))
 
 	// Channel states by value, member lists as subslices of one flat
 	// backing. Offsets are recorded first and subslices taken after,
@@ -352,11 +367,16 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	// sending (owned) side — so it stores chanState sparsely: chanIdx
 	// maps global channel ID to the local slice (or -1), chanIDs maps
 	// back, and chanAt resolves both layouts. Dense storage for a
-	// million-PE torus is 2M channels x 120 B per shard; sparse keeps
+	// million-PE torus is 2M channels x 128 B per shard; sparse keeps
 	// the per-shard cost proportional to the owned block, which is what
 	// lets a Shards=K million-PE run fit the same heap budget as the
 	// sequential machine.
+	//
+	// The same pass sizes the reverse-port table exactly: k(k-1)
+	// entries per stored channel of k members. The PE loop below fills
+	// the entries of owned receivers; the rest stay -1.
 	nc := topo.NumChannels()
+	var ids []int32 // stored channel -> global ID; nil on the dense layout
 	if grp != nil && grp.k > 1 {
 		m.chanIdx = make([]int32, nc)
 		for i := range m.chanIdx {
@@ -371,31 +391,36 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 				m.chanIDs = append(m.chanIDs, int32(ci))
 			}
 		}
-		m.chans = make([]chanState, len(m.chanIDs))
-		offs := make([]int, len(m.chanIDs)+1)
-		var flat []int
-		for li, ci := range m.chanIDs {
-			flat = topo.AppendChannelMembers(flat, int(ci))
-			offs[li+1] = len(flat)
+		ids = m.chanIDs
+		nc = len(ids)
+	}
+	m.chans = make([]chanState, nc)
+	offs := make([]int, nc+1)
+	var flat []int
+	nports := 0
+	for li := range m.chans {
+		ci := li
+		if ids != nil {
+			ci = int(ids[li])
 		}
-		for li := range m.chans {
-			m.chans[li].members = flat[offs[li]:offs[li+1]:offs[li+1]]
-		}
-	} else {
-		m.chans = make([]chanState, nc)
-		offs := make([]int, nc+1)
-		var flat []int
-		for ci := 0; ci < nc; ci++ {
-			flat = topo.AppendChannelMembers(flat, ci)
-			offs[ci+1] = len(flat)
-		}
-		for ci := 0; ci < nc; ci++ {
-			m.chans[ci].members = flat[offs[ci]:offs[ci+1]:offs[ci+1]]
-		}
+		flat = topo.AppendChannelMembers(flat, ci)
+		offs[li+1] = len(flat)
+		k := offs[li+1] - offs[li]
+		m.chans[li].id = int32(ci)
+		m.chans[li].portOff = int32(nports)
+		nports += k * (k - 1)
+	}
+	for li := range m.chans {
+		m.chans[li].members = flat[offs[li]:offs[li+1]:offs[li+1]]
+	}
+	m.ports = make([]int32, nports)
+	for i := range m.ports {
+		m.ports[i] = -1
 	}
 
 	// Remote shards' entries stay nil; every local access happens through
-	// the owned block or is nil-guarded (broadcast delivery).
+	// the owned block, is nil-guarded (control broadcast delivery) or
+	// goes through a reverse port, which is -1 for a remote receiver.
 	m.pes = make([]*PE, topo.Size())
 	for i := m.peLo; i < m.peHi; i++ {
 		lx := i - m.peLo
@@ -406,10 +431,35 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 			id:      i,
 			lx:      lx,
 			nbrs:    nbrsFlat[lo:hi:hi],
-			nbrLoad: nbrLoadFlat[lo:hi:hi],
-			nbrSeen: nbrSeenFlat[lo:hi:hi],
-			nbrDown: nbrDownFlat[lo:hi:hi],
+			nbrLoad: m.nbrLoad[lo:hi:hi],
+			nbrSeen: m.nbrSeen[lo:hi:hi],
 			chansOf: chansFlat[chOff[lx]:chOff[lx+1]:chOff[lx+1]],
+		}
+		// This PE's reverse ports: on each attached channel, the entry
+		// for every other member sending to it is that member's flat
+		// index in this PE's neighbor row, searched once here so that
+		// delivery never searches.
+		for _, ci := range pe.chansOf {
+			ch := m.chanAt(ci)
+			k := len(ch.members) - 1
+			j := 0
+			for ch.members[j] != i {
+				j++
+			}
+			for x, sender := range ch.members {
+				if x == j {
+					continue
+				}
+				r := j
+				if j > x {
+					r--
+				}
+				port := int32(-1)
+				if n := pe.nbrIdx(sender); n >= 0 {
+					port = int32(lo + n)
+				}
+				m.ports[int(ch.portOff)+x*k+r] = port
+			}
 		}
 		pe.pending.init(m.takeSlab())
 		pe.svc.Init(m.eng, pe.serviceDone)
@@ -433,6 +483,7 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		}
 		if la, ok := pe.node.(LoadAware); ok {
 			pe.wantsLoad = la.WantsLoadEvents()
+			m.loadAware = m.loadAware || pe.wantsLoad
 		}
 	}
 
@@ -726,17 +777,62 @@ func (m *Machine) broadcastLoad(pe *PE) {
 // delivering to every other channel member. A neighbor reachable via two
 // channels (a double-lattice pair) hears the broadcast twice; deliveries
 // must therefore be idempotent, which load and proximity updates are.
+//
+// Every channel is occupied exactly as by separate transmissions, but
+// the transmissions that end at the same instant and deliver on this
+// shard share one grouped message and so one engine event, walking its
+// channels in channel order. The engine orders events by (time,
+// sequence), and this loop is the only thing scheduling while it runs,
+// so the grouped deliveries fire in exactly the order the separate
+// events would have. A transmission held at a downed channel, and each
+// copy handed to another shard, stays a message of its own.
 func (m *Machine) broadcast(pe *PE, kind wireKind, msgKind MsgKind, dur sim.Time, payload any) {
-	from := pe.id
-	load := pe.Load()
-	for _, ci := range pe.chansOf {
+	from, load, now := pe.id, pe.Load(), m.eng.Now()
+	var open [4]bcastGroup
+	groups := open[:0]
+	for s, ci := range pe.chansOf {
 		ch := m.chanAt(ci)
 		m.stats.MsgCounts[msgKind]++
-		w := m.newMsg(kind, from, load)
-		w.ch = ch
-		w.payload = payload
-		m.transmit(ch, dur, w)
+		if ch.down {
+			w := m.newMsg(kind, from, load)
+			w.payload = payload
+			m.transmit(ch, dur, w) // holds until the link is restored
+			continue
+		}
+		end := ch.occupy(now, dur)
+		if ch.crossTo != nil {
+			m.handOffBcast(ch, end, kind, from, load, payload)
+			if ch.localMembers < 2 {
+				continue // no other member here to hear it
+			}
+		}
+		// Join the latest group ending at this instant while its slot
+		// mask has room, else open a new one.
+		var w *wireMsg
+		for x := len(groups) - 1; x >= 0; x-- {
+			if groups[x].at == end {
+				if s-int(groups[x].w.slot0) < 64 {
+					w = groups[x].w
+				}
+				break
+			}
+		}
+		if w == nil {
+			w = m.newMsg(kind, from, load)
+			w.payload = payload
+			w.slot0 = int32(s)
+			m.eng.AtAction(end, w)
+			groups = append(groups, bcastGroup{at: end, w: w})
+		}
+		w.slots |= 1 << uint(s-int(w.slot0))
 	}
+}
+
+// bcastGroup is one open broadcast group: its delivery instant and the
+// message collecting its channels.
+type bcastGroup struct {
+	at sim.Time
+	w  *wireMsg
 }
 
 // respond sends goal g's computed value from the PE that executed it

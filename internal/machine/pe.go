@@ -96,10 +96,12 @@ func (r *itemRing) grow() {
 // the per-event hot scalars — busy, serviceEnd, busyTime, failed, speed
 // — live in machine-level parallel slices indexed by lx (see the
 // struct-of-arrays fields on Machine), keeping the event loop's working
-// set dense. The adjacency slices (nbrs, nbrLoad, nbrSeen, nbrDown,
-// chansOf) are subslices of machine-wide flat backings; nbrs is
-// ascending, so neighbor lookup is a binary search (nbrIdx) rather than
-// a per-PE map.
+// set dense. The adjacency slices (nbrs, nbrLoad, nbrSeen, chansOf) are
+// subslices of machine-wide flat backings. Message delivery never
+// searches them: every load word lands through the machine's
+// reverse-port table, built once at construction. nbrs is ascending,
+// and nbrIdx (a binary search) remains only behind the public KnownLoad
+// and the table build.
 type PE struct {
 	m  *Machine
 	id int
@@ -113,7 +115,6 @@ type PE struct {
 	nbrs    []int      // cached topology neighbors, ascending
 	nbrLoad []int32    // last known load per neighbor (assumed 0 initially)
 	nbrSeen []sim.Time // when that load was learned (-1 = never)
-	nbrDown []bool     // last availability heard per neighbor (env broadcasts)
 	chansOf []int      // attached channel IDs, ascending (broadcast fan-out)
 
 	node NodeStrategy // strategy state for this PE (set after construction)
@@ -143,7 +144,8 @@ type PE struct {
 
 // nbrIdx returns the index of nbrPE in pe.nbrs, or -1 when nbrPE is not
 // a neighbor. Neighbor lists are ascending (topology contract), so a
-// binary search replaces the per-PE map the old layout carried.
+// binary search replaces a per-PE map. Only KnownLoad and the
+// reverse-port build call it; delivery goes through the port table.
 func (pe *PE) nbrIdx(nbrPE int) int {
 	lo, hi := 0, len(pe.nbrs)
 	for lo < hi {
@@ -240,17 +242,6 @@ func (pe *PE) KnownLoad(nbrPE int) (load int, seenAt sim.Time) {
 		panic(fmt.Sprintf("machine: PE %d is not a neighbor of PE %d", nbrPE, pe.id))
 	}
 	return int(pe.nbrLoad[i]), pe.nbrSeen[i]
-}
-
-// noteLoad records a load observation for neighbor nbrPE.
-func (pe *PE) noteLoad(nbrPE int, load int) {
-	if i := pe.nbrIdx(nbrPE); i >= 0 {
-		pe.nbrLoad[i] = int32(load)
-		pe.nbrSeen[i] = pe.m.eng.Now()
-		if pe.wantsLoad {
-			pe.node.HandleEvent(Event{Kind: NeighborLoadChanged, From: nbrPE, Load: load})
-		}
-	}
 }
 
 // LeastLoadedNeighbor returns the neighbor with the smallest known load.

@@ -209,7 +209,7 @@ func newShardGroup(topo *topology.Topology, source JobSource, strat Strategy, cf
 		sort.Ints(owners)
 		for _, s := range owners {
 			cs := g.machines[s].chanAt(ci)
-			cs.localMembers = counts[s]
+			cs.localMembers = int32(counts[s])
 			for _, o := range owners {
 				if o != s {
 					cs.crossTo = append(cs.crossTo, o)
@@ -389,7 +389,10 @@ func (g *shardGroup) drain() {
 			}
 		}
 		for _, x := range buf {
+			// Deliver on the receiving shard's own copy of the channel,
+			// whose reverse ports cover the receiver(s) there.
 			x.w.m = dst
+			x.w.ch = dst.chanAt(int(x.w.ch.id))
 			dst.eng.AtAction(x.at, x.w)
 		}
 		g.inbox = buf

@@ -35,16 +35,24 @@ func (s *Script) Expand(numPEs int, horizon sim.Time) *Script {
 	if !any {
 		return s
 	}
-	out := &Script{Events: make([]Event, 0, len(s.Events))}
-	for _, e := range s.Events {
+	// Expand each event first, then concatenate into an exactly sized
+	// timeline.
+	parts := make([][]Event, len(s.Events))
+	n := 0
+	for i, e := range s.Events {
 		switch e.Kind {
 		case Chaos:
-			out.Events = append(out.Events, e.generate(numPEs, horizon)...)
+			parts[i] = e.generate(numPEs, horizon)
 		case Checkpoint:
-			out.Events = append(out.Events, e.ticks(horizon)...)
+			parts[i] = e.ticks(horizon)
 		default:
-			out.Events = append(out.Events, e)
+			parts[i] = s.Events[i : i+1]
 		}
+		n += len(parts[i])
+	}
+	out := &Script{Events: make([]Event, 0, n)}
+	for _, p := range parts {
+		out.Events = append(out.Events, p...)
 	}
 	return out
 }
@@ -57,8 +65,12 @@ func (e Event) ticks(horizon sim.Time) []Event {
 	if until <= 0 || until > horizon {
 		until = horizon
 	}
-	var out []Event
-	for at := e.At + e.Every; at < until; at += e.Every {
+	first := e.At + e.Every
+	if first >= until {
+		return nil
+	}
+	out := make([]Event, 0, (until-first-1)/e.Every+1)
+	for at := first; at < until; at += e.Every {
 		out = append(out, Event{At: at, Kind: CheckpointTick, Cost: e.Cost})
 	}
 	return out
@@ -144,6 +156,7 @@ func (e Event) generateDomains(numPEs int, horizon sim.Time) []Event {
 	numDomains := e.domainCount(numPEs)
 	downUntil := make([]float64, numPEs)
 	var out []Event
+	var members []int // the struck domain's PEs, reused across strikes
 	t := float64(e.At)
 	for {
 		t += rng.ExpFloat64() * e.MTBF
@@ -156,13 +169,14 @@ func (e Event) generateDomains(numPEs int, horizon sim.Time) []Event {
 		if repair < 1 {
 			repair = 1
 		}
-		var strike []int
-		for _, pe := range e.domainMembers(d, numPEs) {
+		members = e.appendDomain(members[:0], d, numPEs)
+		up := 0
+		for _, pe := range members {
 			if downUntil[pe] <= t {
-				strike = append(strike, pe)
+				up++
 			}
 		}
-		if len(strike) == 0 {
+		if up == 0 {
 			continue // domain already entirely down: absorbed
 		}
 		live := 0
@@ -171,8 +185,14 @@ func (e Event) generateDomains(numPEs int, horizon sim.Time) []Event {
 				live++
 			}
 		}
-		if live <= len(strike) {
+		if live <= up {
 			continue // never take the last live PEs down
+		}
+		strike := make([]int, 0, up)
+		for _, pe := range members {
+			if downUntil[pe] <= t {
+				strike = append(strike, pe)
+			}
 		}
 		rec := t + repair
 		for _, pe := range strike {
@@ -202,37 +222,33 @@ func (e Event) domainCount(numPEs int) int {
 	return numPEs // single-PE domains (unreachable: generate branches first)
 }
 
-// domainMembers returns domain d's PE indices in ascending order. Racks
-// are contiguous index runs of DomA PEs; blocks are DomA×DomB tiles of
-// the row-major gridSide×gridSide layout, clipped to the machine.
-func (e Event) domainMembers(d, numPEs int) []int {
+// appendDomain appends domain d's PE indices to dst in ascending order.
+// Racks are contiguous index runs of DomA PEs; blocks are DomA×DomB
+// tiles of the row-major gridSide×gridSide layout, clipped to the
+// machine.
+func (e Event) appendDomain(dst []int, d, numPEs int) []int {
 	switch e.Domain {
 	case "rack":
 		lo := d * e.DomA
-		hi := lo + e.DomA
-		if hi > numPEs {
-			hi = numPEs
-		}
-		out := make([]int, 0, hi-lo)
+		hi := min(lo+e.DomA, numPEs)
 		for pe := lo; pe < hi; pe++ {
-			out = append(out, pe)
+			dst = append(dst, pe)
 		}
-		return out
+		return dst
 	case "block":
 		side := gridSide(numPEs)
 		bw := (side + e.DomA - 1) / e.DomA
 		bx, by := d%bw, d/bw
-		var out []int
 		for y := by * e.DomB; y < (by+1)*e.DomB && y < side; y++ {
 			for x := bx * e.DomA; x < (bx+1)*e.DomA && x < side; x++ {
 				if pe := y*side + x; pe < numPEs {
-					out = append(out, pe)
+					dst = append(dst, pe)
 				}
 			}
 		}
-		return out
+		return dst
 	}
-	return []int{d}
+	return append(dst, d)
 }
 
 // gridSide is the side of the smallest square grid covering numPEs

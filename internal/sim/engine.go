@@ -173,8 +173,18 @@ func (e *Engine) Seed() int64 { return e.seed }
 // this stream so that a run is a pure function of its seed.
 func (e *Engine) Rng() *rand.Rand { return e.rng }
 
-// Processed returns the number of events fired so far.
+// Processed returns the number of simulated deliveries made so far:
+// one per fired event, plus whatever the fired actions credited
+// through Credit. An action that delivers several channel transmissions
+// in one event (the machine's grouped broadcasts) counts once per
+// transmission, so the count is the same as if each transmission had
+// been its own event.
 func (e *Engine) Processed() uint64 { return e.processed }
+
+// Credit adds n deliveries to Processed on behalf of the running
+// action: an action that stands for 1+n simulated deliveries fires as
+// one event and credits the other n.
+func (e *Engine) Credit(n uint64) { e.processed += n }
 
 // Pending returns the number of events currently scheduled (including
 // cancelled events not yet discarded).

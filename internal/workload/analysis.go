@@ -22,14 +22,15 @@ func (tr *Tree) SequentialTime(grain, combine int64) int64 {
 // CriticalPath returns a lower bound on makespan with unlimited PEs and
 // free communication: a node costs its own execution, then waits for
 // its slowest child's chain, then integrates at least that child's
-// response. Computed iteratively (chains can be 10^5 deep).
+// response. Computed iteratively (chains can be 10^5 deep), with each
+// task's span kept in a slice indexed by its preorder ID.
 func (tr *Tree) CriticalPath(grain, combine int64) int64 {
 	// Post-order traversal with an explicit stack.
 	type frame struct {
 		t       *Task
 		visited bool
 	}
-	span := make(map[*Task]int64, tr.count)
+	span := make([]int64, tr.count)
 	stack := []frame{{tr.Root, false}}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
@@ -43,18 +44,18 @@ func (tr *Tree) CriticalPath(grain, combine int64) int64 {
 		}
 		own := grain * int64(f.t.Work)
 		if f.t.IsLeaf() {
-			span[f.t] = own
+			span[f.t.ID] = own
 			continue
 		}
 		var worst int64
 		for _, k := range f.t.Kids {
-			if span[k] > worst {
-				worst = span[k]
+			if span[k.ID] > worst {
+				worst = span[k.ID]
 			}
 		}
-		span[f.t] = own + worst + combine
+		span[f.t.ID] = own + worst + combine
 	}
-	return span[tr.Root]
+	return span[tr.Root.ID]
 }
 
 // MaxSpeedup returns T1/T∞ — the parallelism ceiling of the tree under

@@ -85,3 +85,29 @@ func TestFibCriticalPathRecurrence(t *testing.T) {
 		}
 	}
 }
+
+// spanRef is the textbook recursive critical path, the reference the
+// iterative slice-indexed CriticalPath must agree with.
+func spanRef(t *Task, grain, combine int64) int64 {
+	own := grain * int64(t.Work)
+	if t.IsLeaf() {
+		return own
+	}
+	var worst int64
+	for _, k := range t.Kids {
+		worst = max(worst, spanRef(k, grain, combine))
+	}
+	return own + worst + combine
+}
+
+func TestCriticalPathMatchesRecursiveReference(t *testing.T) {
+	trees := []*Tree{NewFib(1), NewFib(9), NewFib(14), NewDC(1, 1), NewDC(1, 37), NewDC(5, 200),
+		NewRandom(RandomConfig{Seed: 3, Goals: 300, MaxKids: 4, MaxWork: 3, LeafValue: 1})}
+	for _, tr := range trees {
+		for _, gc := range [][2]int64{{10, 5}, {1, 0}, {7, 13}} {
+			if got, want := tr.CriticalPath(gc[0], gc[1]), spanRef(tr.Root, gc[0], gc[1]); got != want {
+				t.Errorf("%s grain=%d combine=%d: CriticalPath %d, recursive %d", tr.Name, gc[0], gc[1], got, want)
+			}
+		}
+	}
+}
