@@ -205,22 +205,23 @@ type Config struct {
 	RetryBackoff sim.Time
 
 	// Shards > 0 partitions the PE index space into that many contiguous
-	// spatial shards, each owning its own event engine and (for Shards
-	// >= 2) its own goroutine, synchronized by conservative lookahead
-	// windows — the parallel runtime for large machines (see
-	// internal/machine doc.go, "Sharded execution"). 0 (the default) is
-	// the sequential reference engine. Shards == 1 runs the full
-	// windowed shard protocol on a single shard and is bit-for-bit
-	// identical to sequential (pinned by cross-check tests); Shards >= 2
-	// runs deterministically (a pure function of seed and shard count,
-	// independent of thread schedule) but orders same-timestamp events
-	// differently than the sequential machine, so only conservation
-	// totals — per-PE goal counts, job counts, sojourn distributions —
-	// are comparable bit-for-bit against it. The count is clamped to the
-	// machine size. Sharded runs reject Pool (see validate) and refuse
-	// SequentialOnly strategies; sampling, monitoring, tracing and
-	// scripted Scenarios are shard-safe (per-shard capture / barrier
-	// application, merged deterministically at finalize).
+	// spatial shards, each owning its own event engine; for Shards >= 2
+	// the caller runs shard 0 and K−1 worker goroutines run the rest,
+	// synchronized by conservative lookahead windows — the parallel
+	// runtime for large machines (see internal/machine doc.go, "Sharded
+	// execution"). 0 (the default) is the sequential reference engine.
+	// Shards == 1 runs the full windowed shard protocol on a single
+	// shard and is bit-for-bit identical to sequential (pinned by
+	// cross-check tests); Shards >= 2 runs deterministically (a pure
+	// function of seed and shard count, independent of thread schedule)
+	// but orders same-timestamp events differently than the sequential
+	// machine, so only conservation totals — per-PE goal counts, job
+	// counts, sojourn distributions — are comparable bit-for-bit against
+	// it. The count is clamped to the machine size. Sharded runs reject
+	// Pool (see validate) and refuse SequentialOnly strategies;
+	// sampling, monitoring, tracing and scripted Scenarios are
+	// shard-safe (per-shard capture / barrier application, merged
+	// deterministically at finalize).
 	Shards int
 
 	// ShardSerial executes a sharded run's window protocol on a single

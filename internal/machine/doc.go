@@ -195,8 +195,9 @@
 //
 // Config.Shards > 0 runs the machine as K spatial shards — contiguous
 // PE blocks from topology.Partition, each a full sub-machine with its
-// own event engine, free lists and statistics, each (for K >= 2) on
-// its own goroutine. Per-shard channel state is sparse (chanIdx/
+// own event engine, free lists and statistics. For K >= 2, shard 0
+// runs on the caller's goroutine and each other shard on a persistent
+// worker goroutine. Per-shard channel state is sparse (chanIdx/
 // chanAt): a shard stores chanState only for channels its own PEs
 // attach to — every transmit, broadcast and link op resolves at the
 // sending side — so a K-shard million-PE machine stays near the
@@ -206,10 +207,22 @@
 // shard boundary, so no message sent inside a window can be due before
 // the next one begins. Every shard therefore always holds its complete
 // event set for the window it executes — no rollbacks, no null
-// messages. Between windows the single-threaded coordinator drains the
-// per-shard-pair outboxes into the receiving engines in a fixed total
-// order (delivery time, then sending shard, then FIFO), fast-forwards
-// over windows no shard has events in, and checks completion; at
+// messages. The barrier itself (barrier.go) keeps the cores hot:
+// the coordinator publishes the window end and bumps an atomic epoch,
+// each worker runs its window and counts down an atomic pending count,
+// and a waiter on either side spins a fixed number of iterations
+// (yielding its P now and then) before it parks on a channel. Waiters
+// park at once while the process holds more shard goroutines, over all
+// its parallel sharded runs, than GOMAXPROCS: a spin pays only when the
+// shard it waits for holds a P of its own. A panic in a window is
+// recovered per shard; once every shard has reached the barrier the
+// coordinator re-raises the lowest shard's panic, so which panic
+// surfaces does not depend on the thread schedule, and the workers exit
+// as Run unwinds. Between windows the single-threaded coordinator
+// drains the per-shard-pair outboxes into the receiving engines in a
+// fixed total order (delivery time, then sending shard, then FIFO),
+// fast-forwards over windows no shard has events in, and checks
+// completion; at
 // finalize the per-shard Stats merge into one (counters sum, per-PE
 // arrays concatenate, distributions merge exactly).
 //

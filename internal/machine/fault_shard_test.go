@@ -2,6 +2,8 @@ package machine
 
 import (
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"cwnsim/internal/scenario"
@@ -63,18 +65,53 @@ func TestShardScenarioOneBitForBitSequential(t *testing.T) {
 // scripted failures under real parallelism: a K-shard chaos run on K
 // goroutines must equal its single-goroutine window-by-window replay
 // bit for bit — barrier-applied scenario ops, eager checkpoint
-// snapshots, purges and retries included.
+// snapshots, purges and retries included. It runs at GOMAXPROCS 1,
+// where every barrier waiter parks at once, and at 2, where a
+// two-shard waiter spins first; K=8 oversubscribes both.
 func TestShardScenarioParallelMatchesSerial(t *testing.T) {
-	for _, c := range faultCases() {
-		for _, k := range []int{2, 4} {
-			t.Run(c.name, func(t *testing.T) {
-				par := shardFPOf(c.run(t, topology.NewTorus(6, 6), k, false))
-				ser := shardFPOf(c.run(t, topology.NewTorus(6, 6), k, true))
-				if !reflect.DeepEqual(par, ser) {
-					t.Fatalf("K=%d parallel diverged from serial replay:\npar: %+v\nser: %+v", k, par.fingerprint, ser.fingerprint)
-				}
-			})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range faultCases() {
+			for _, k := range []int{2, 4, 8} {
+				t.Run(c.name, func(t *testing.T) {
+					par := shardFPOf(c.run(t, topology.NewTorus(6, 6), k, false))
+					ser := shardFPOf(c.run(t, topology.NewTorus(6, 6), k, true))
+					if !reflect.DeepEqual(par, ser) {
+						t.Fatalf("GOMAXPROCS=%d K=%d parallel diverged from serial replay:\npar: %+v\nser: %+v", procs, k, par.fingerprint, ser.fingerprint)
+					}
+				})
+			}
 		}
+	}
+}
+
+// TestShardConcurrentRuns runs several two-shard runs at once, more
+// shard goroutines than Ps at GOMAXPROCS 2, so their barrier waiters
+// park at once and start spinning again as the other runs finish:
+// each run must still equal its serial replay, and no shard goroutine
+// stays counted against the spin gate.
+func TestShardConcurrentRuns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := faultCases()[1] // crash-domains
+	ser := shardFPOf(c.run(t, topology.NewTorus(6, 6), 2, true))
+	par := make([]shardFP, 3)
+	var wg sync.WaitGroup
+	for i := range par {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			par[i] = shardFPOf(c.run(t, topology.NewTorus(6, 6), 2, false))
+		}()
+	}
+	wg.Wait()
+	for i := range par {
+		if !reflect.DeepEqual(par[i], ser) {
+			t.Fatalf("concurrent run %d diverged from serial replay:\npar: %+v\nser: %+v", i, par[i].fingerprint, ser.fingerprint)
+		}
+	}
+	if n := liveShards.Load(); n != 0 {
+		t.Fatalf("%d shard goroutines still counted live", n)
 	}
 }
 

@@ -63,6 +63,10 @@ type shardSample struct {
 //	  the coordinator drains all cross-shard outboxes    (sequential)
 //	  completion check; advance W by the lookahead
 //
+// The coordinator is the goroutine that called Run: it runs shard 0's
+// windows itself, and K−1 persistent workers run the others, meeting it
+// at a spin-then-park barrier (barrier.go).
+//
 // The lookahead is the minimum wire latency on any channel crossing a
 // shard boundary, so no message sent inside a window can be due before
 // the window after it — every shard always holds its complete event
@@ -85,7 +89,7 @@ type shardGroup struct {
 	home int // the shard owning RootPE: source, arrivals, injection
 
 	// lookahead is the conservative window width; winEnd the current
-	// window's end, read by handOff's safety assertion.
+	// window's end, read by the workers and handOff's safety assertion.
 	lookahead sim.Time
 	winEnd    sim.Time
 
@@ -98,9 +102,20 @@ type shardGroup struct {
 	finishedAt sim.Time
 	result     int64
 
-	workers []shardWorker
-	done    chan shardDone
-	inbox   []xmsg // coordinator scratch for sorting one drain
+	inbox []xmsg // coordinator scratch for sorting one drain
+
+	// The window barrier (barrier.go). workers[i] parks shard i+1's
+	// goroutine, coord the coordinator's. release writes winEnd (or
+	// stop) and then bumps epoch; each worker records its window's panic
+	// in panics and then counts pending down. The two atomics are the
+	// barrier's happens-before edges.
+	epoch   atomic.Uint64
+	pending atomic.Int32
+	stop    bool
+	procs   int32 // GOMAXPROCS when the workers started
+	coord   parker
+	workers []parker
+	panics  []any
 
 	// Shard-local scenario replay. scn is the script expanded once at
 	// construction and shared by every shard; ops is its firing-order
@@ -115,20 +130,6 @@ type shardGroup struct {
 	opIx   int
 	failed []bool
 	live   int
-}
-
-// shardWorker is one shard's persistent goroutine: it runs its machine
-// to each window end the coordinator sends.
-type shardWorker struct {
-	m     *Machine
-	start chan sim.Time
-}
-
-// shardDone reports one shard's window completion; err carries a
-// recovered panic for the coordinator to re-raise.
-type shardDone struct {
-	shard int
-	err   any
 }
 
 // newShardGroup partitions the topology and builds the K shard
@@ -310,57 +311,6 @@ func (g *shardGroup) run() *Stats {
 		}
 	}
 	return g.finalize()
-}
-
-func (g *shardGroup) startWorkers() {
-	g.done = make(chan shardDone, g.k)
-	g.workers = make([]shardWorker, g.k)
-	for s := range g.workers {
-		g.workers[s] = shardWorker{m: g.machines[s], start: make(chan sim.Time, 1)}
-		go g.workers[s].loop(g.done)
-	}
-}
-
-func (g *shardGroup) stopWorkers() {
-	for s := range g.workers {
-		close(g.workers[s].start)
-	}
-}
-
-func (w *shardWorker) loop(done chan<- shardDone) {
-	for end := range w.start {
-		err := w.runOne(end)
-		done <- shardDone{shard: w.m.shardID, err: err}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// runOne advances the shard to the window end, converting a panic into
-// a value so the coordinator can finish the barrier before re-raising.
-func (w *shardWorker) runOne(end sim.Time) (err any) {
-	defer func() { err = recover() }()
-	w.m.eng.RunUntil(end)
-	return nil
-}
-
-// runWindow releases every worker for one window and waits for all of
-// them — the barrier. A shard panic is re-raised here, after the
-// barrier, so no worker is left mid-window.
-func (g *shardGroup) runWindow(end sim.Time) {
-	for s := range g.workers {
-		g.workers[s].start <- end
-	}
-	var first any
-	for i := 0; i < g.k; i++ {
-		if d := <-g.done; d.err != nil && first == nil {
-			first = d.err
-		}
-	}
-	if first != nil {
-		panic(first)
-	}
 }
 
 // drain moves every cross-shard outbox into its receiving shard's
@@ -771,9 +721,9 @@ func (g *shardGroup) mergeInjSoj(s *Stats) {
 
 // replayTrace replays the shards' buffered trace events into the Sink
 // in a thread-schedule-independent total order: by event time, ties by
-// shard, FIFO within one shard's buffer. Runs on the coordinator after
-// the workers have torn down, so the Sink keeps its single-goroutine
-// contract.
+// shard, FIFO within one shard's buffer. Runs on the coordinator while
+// every worker waits at the barrier, so the Sink keeps its
+// single-goroutine contract.
 func (g *shardGroup) replayTrace() {
 	if g.cfg.Trace == nil {
 		return

@@ -1,10 +1,14 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cwnsim/internal/scenario"
 	"cwnsim/internal/sim"
@@ -246,6 +250,117 @@ func TestShardConfigRejections(t *testing.T) {
 				}
 			}()
 			NewStream(topology.NewGrid(3, 3), NewSingleJob(workload.NewFib(5)), spread{}, cfg)
+		})
+	}
+}
+
+// boom is spread whose nodes on the PEs in pes panic with their value
+// on the first load word they learn at time at. Load broadcasts are
+// unstaggered and the machine is idle by then, so every listed PE
+// learns one at exactly at: the panics land in one window whatever
+// shards own the PEs. fired counts the panics raised.
+type boom struct {
+	spread
+	at    sim.Time
+	pes   map[int]string
+	fired *atomic.Int32
+}
+
+func (b boom) NewNode(pe *PE) NodeStrategy {
+	n := b.spread.NewNode(pe)
+	if v, ok := b.pes[pe.ID()]; ok {
+		return boomNode{n, pe, b, v}
+	}
+	return n
+}
+
+type boomNode struct {
+	NodeStrategy
+	pe  *PE
+	b   boom
+	val string
+}
+
+func (boomNode) WantsLoadEvents() bool { return true }
+
+func (n boomNode) HandleEvent(ev Event) {
+	if ev.Kind == NeighborLoadChanged && n.pe.Now() == n.b.at {
+		n.b.fired.Add(1)
+		panic(fmt.Sprintf("%s@%d", n.val, n.pe.Now()))
+	}
+	n.NodeStrategy.HandleEvent(ev)
+}
+
+// settle waits for the goroutine count to fall back to base — a stopped
+// worker may still be returning when Run does — and checks that no
+// shard goroutine is still counted against the barrier's spin gate.
+func settle(t *testing.T, base int, what string) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 2000 {
+			t.Fatalf("%s: %d goroutines remain, baseline %d", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := liveShards.Load(); n != 0 {
+		t.Fatalf("%s: %d shard goroutines still counted live", what, n)
+	}
+}
+
+// TestShardPanicAtBarrier pins the barrier's panic rule: a panic in
+// any shard's window, the caller-run shard 0 included, comes out of Run
+// with its value once every shard has finished the window; when several
+// shards panic in one window the lowest shard's value wins on every
+// run; and no worker goroutine outlives Run, however the run ends.
+func TestShardPanicAtBarrier(t *testing.T) {
+	const k, at = 4, 101
+	topo := topology.NewGrid(4, 4)
+	first := topo.Partition(k).Starts // first PE of each shard
+	run := func(pes map[int]string, maxT sim.Time) (st *Stats, val any, fired int32) {
+		cfg := DefaultConfig()
+		cfg.Shards = k
+		cfg.StaggerTicks = false
+		if maxT > 0 {
+			cfg.MaxTime = maxT
+		}
+		b := boom{at: at, pes: pes, fired: new(atomic.Int32)}
+		defer func() { val, fired = recover(), b.fired.Load() }()
+		// One small job, long done by time at; the second arrives after it.
+		return NewStream(topo, NewFixedInterval(workload.NewFib(4), 400, 2), b, cfg).Run(), nil, 0
+	}
+	base := runtime.NumGoroutine()
+	if st, val, _ := run(nil, 0); val != nil || !st.Completed {
+		t.Fatalf("clean run: panic %v, completed %v", val, st != nil && st.Completed)
+	}
+	settle(t, base, "completed run")
+	if st, val, _ := run(nil, 300); val != nil || st.Completed {
+		t.Fatalf("MaxTime run: panic %v, completed %v", val, st != nil && st.Completed)
+	}
+	settle(t, base, "MaxTime cut-off")
+	cases := []struct {
+		name   string
+		shards []int
+		want   string
+	}{
+		{"shard0", []int{0}, "s0@101"},
+		{"worker", []int{2}, "s2@101"},
+		{"shards0+3", []int{3, 0}, "s0@101"},
+		{"shards1+3", []int{3, 1}, "s1@101"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine() // this subtest runs on a goroutine of its own
+			pes := map[int]string{}
+			for _, s := range c.shards {
+				pes[first[s]] = fmt.Sprintf("s%d", s)
+			}
+			for rep := 0; rep < 10; rep++ {
+				_, val, fired := run(pes, 0)
+				if val != c.want || int(fired) != len(c.shards) {
+					t.Fatalf("run %d: panic %v after %d shard panics, want %q after %d", rep, val, fired, c.want, len(c.shards))
+				}
+				settle(t, base, "panicking run")
+			}
 		})
 	}
 }
